@@ -5,7 +5,10 @@
 #
 # Steps, in order:
 #   1. release build of every workspace target (deny warnings);
-#   2. the full test suite (unit + integration + doctests);
+#   2. the full test suite (unit + integration + doctests), plus the
+#      end-to-end benchmark crate's build and tests (it sits outside
+#      the workspace, so a runtime API change could otherwise break it
+#      unnoticed);
 #   3. example smoke build;
 #   4. compile (but don't run) all criterion benches;
 #   5. dataplane bench smoke: run at a small size, check the emitted
@@ -40,6 +43,9 @@ RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace --all-t
 
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
+
+echo "==> cargo test --release (e2ebench crate)"
+cargo test --release --manifest-path e2ebench/Cargo.toml
 
 echo "==> cargo build --examples (smoke)"
 cargo build --examples

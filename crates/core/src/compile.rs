@@ -89,6 +89,17 @@ impl PashConfig {
         }
     }
 
+    /// The same program fully sequential: width 1, with any
+    /// per-region shapes cleared. The supervisor's fallback plan is
+    /// compiled under this configuration.
+    pub fn sequential(&self) -> PashConfig {
+        PashConfig {
+            width: 1,
+            per_region: Vec::new(),
+            ..self.clone()
+        }
+    }
+
     /// A deterministic textual key for this configuration — combined
     /// with the source text it identifies a compilation (the plan
     /// lowering is deterministic, so equal keys mean equal plans).

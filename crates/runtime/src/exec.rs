@@ -18,14 +18,14 @@ use std::time::{Duration, Instant};
 
 use pash_core::compile::PashConfig;
 use pash_core::plan::{
-    fold_statuses, Arg, Backend, ExecutionPlan, PlanNode, PlanNodeId, PlanOp, PlanStep, RegionPlan,
-    SplitMode,
+    fold_statuses, Arg, Backend, ExecutionPlan, PlanNode, PlanNodeId, PlanOp, RegionPlan, SplitMode,
 };
 
 use pash_coreutils::fs::Fs;
 use pash_coreutils::{CmdIo, Registry, SIGPIPE_STATUS};
 
 use crate::agg::run_aggregator;
+use crate::drive::{drive, RegionRunner};
 use crate::edge::MemEdges;
 use crate::fault::{ArmedFault, ExecError, FaultKind};
 use crate::frame::{write_frame, FrameReader};
@@ -33,7 +33,7 @@ use crate::pipe::{MultiReader, DEFAULT_PIPE_CAPACITY};
 use crate::profile::{CountingReader, CountingWriter, ProfileStore, RegionProfile};
 use crate::relay::{run_relay, RelayMode};
 use crate::split::{split_general, split_round_robin};
-use crate::supervise::{supervise_region, SupervisorSettings};
+use crate::supervise::SupervisorSettings;
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -149,7 +149,7 @@ impl Fs for StreamFs {
 ///
 /// `stdin` feeds the region's primary boundary pipe input (if any).
 /// This is a single unsupervised attempt; retries, deadlines, and
-/// fallback live in [`run_program`]'s per-step supervision.
+/// fallback live in the program driver (`drive.rs`).
 pub fn run_region(
     r: &RegionPlan,
     registry: &Registry,
@@ -160,21 +160,6 @@ pub fn run_region(
     run_region_attempt(r, registry, fs, stdin, cfg, None, None).map_err(io::Error::from)
 }
 
-/// One unsupervised attempt with an optional armed fault — the remote
-/// worker's entry point. The coordinator owns retries, deadlines, and
-/// the fallback ladder; a worker only ever runs a single faithful (or
-/// faithfully faulted) attempt and reports the classified outcome.
-pub fn run_region_faulted(
-    r: &RegionPlan,
-    registry: &Registry,
-    fs: Arc<dyn Fs>,
-    stdin: Vec<u8>,
-    cfg: &ExecConfig,
-    fault: Option<&ArmedFault>,
-) -> Result<RegionOutput, ExecError> {
-    run_region_attempt(r, registry, fs, stdin, cfg, fault, None)
-}
-
 /// One attempt at a region, with optional fault injection and an
 /// optional deadline (taken from `settings`).
 ///
@@ -182,8 +167,11 @@ pub fn run_region_faulted(
 /// every in-memory pipe (unblocking parked readers and writers with
 /// `TimedOut`) and cancels any injected stall, so wedged node threads
 /// unwind promptly instead of hanging the scope. The thread-backend
-/// analogue of SIGKILL-after-grace.
-fn run_region_attempt(
+/// analogue of SIGKILL-after-grace. With a fault and no settings this
+/// is also the remote worker's entry point: the coordinator owns
+/// retries, deadlines and the fallback ladder, so a worker runs one
+/// faithful (or faithfully faulted) attempt and reports the outcome.
+pub(crate) fn run_region_attempt(
     r: &RegionPlan,
     registry: &Registry,
     fs: Arc<dyn Fs>,
@@ -522,26 +510,9 @@ pub fn run_program(
     run_program_with_fallback(plan, None, registry, fs, stdin, cfg)
 }
 
-/// Two plans compiled from the same source at different widths have
-/// the same step skeleton (lowering maps source steps 1:1 regardless
-/// of width); anything else means the fallback plan is not a
-/// re-execution of the same program and must not be used.
-fn plans_align(a: &ExecutionPlan, b: &ExecutionPlan) -> bool {
-    a.steps.len() == b.steps.len()
-        && a.steps.iter().zip(&b.steps).all(|(x, y)| match (x, y) {
-            (PlanStep::Region(_), PlanStep::Region(_)) => true,
-            (PlanStep::Guard(g), PlanStep::Guard(h)) => g == h,
-            (PlanStep::Shell { text: t, .. }, PlanStep::Shell { text: u, .. }) => t == u,
-            _ => false,
-        })
-}
-
 /// [`run_program`] with an optional sequential fallback plan: the same
-/// program compiled at width 1. When a region exhausts its retries
-/// under the supervisor, the aligned fallback region re-executes it
-/// through the sequential path — by construction that output is the
-/// reference output, so a fault can degrade performance but never
-/// correctness.
+/// program compiled at width 1, used by the supervisor when a region
+/// exhausts its retries (see the program driver, `drive.rs`).
 pub fn run_program_with_fallback(
     plan: &ExecutionPlan,
     fallback: Option<&ExecutionPlan>,
@@ -550,203 +521,50 @@ pub fn run_program_with_fallback(
     stdin: Vec<u8>,
     cfg: &ExecConfig,
 ) -> io::Result<ProgramOutput> {
-    // Each program run gets a fresh total-retry budget: one flaky
-    // region cannot starve later regions of another run's retries.
-    let cfg = &ExecConfig {
-        supervisor: cfg.supervisor.fresh_run(),
-        ..cfg.clone()
-    };
-    let fallback = fallback.filter(|f| plans_align(plan, f));
-    let fb_step = |i: usize| -> Option<&RegionPlan> {
-        match fallback.map(|f| &f.steps[i]) {
-            Some(PlanStep::Region(r)) => Some(r),
-            _ => None,
-        }
-    };
-    let mut st = StepState {
-        stdout: Vec::new(),
-        status: 0,
-        stdin: Some(stdin),
-        skip_next: false,
-    };
-    if cfg.max_inflight > 1 {
-        for wave in plan.parallel_waves() {
-            if wave.len() > 1 && !st.skip_next {
-                run_wave(plan, fallback, &wave, registry, &fs, cfg, &mut st)?;
-            } else {
-                for &i in &wave {
-                    run_step(&plan.steps[i], fb_step(i), registry, &fs, cfg, &mut st)?;
-                }
-            }
-        }
-    } else {
-        for (i, step) in plan.steps.iter().enumerate() {
-            run_step(step, fb_step(i), registry, &fs, cfg, &mut st)?;
-        }
-    }
-    Ok(ProgramOutput {
-        stdout: st.stdout,
-        status: st.status,
-    })
+    let runner = ThreadRunner { registry, fs, cfg };
+    drive(
+        plan,
+        fallback,
+        stdin,
+        cfg.max_inflight,
+        &cfg.supervisor,
+        &runner,
+    )
 }
 
-/// Runs one region under the supervisor: bounded retries with backoff
-/// for replayable regions, a per-attempt fault arm, and (when retries
-/// are exhausted) re-execution through the width-1 `fallback` region.
-fn run_supervised(
-    r: &RegionPlan,
-    fallback: Option<&RegionPlan>,
-    registry: &Registry,
-    fs: &Arc<dyn Fs>,
-    feed: Vec<u8>,
-    cfg: &ExecConfig,
-) -> io::Result<RegionOutput> {
-    let sup = &cfg.supervisor;
-    let mut attempt = |armed: Option<ArmedFault>| {
+/// The `threads` backend's [`RegionRunner`]: each attempt is one
+/// [`run_region_attempt`] on node threads.
+pub(crate) struct ThreadRunner<'a> {
+    pub(crate) registry: &'a Registry,
+    pub(crate) fs: Arc<dyn Fs>,
+    pub(crate) cfg: &'a ExecConfig,
+}
+
+impl RegionRunner for ThreadRunner<'_> {
+    fn attempt(
+        &self,
+        r: &RegionPlan,
+        feed: &[u8],
+        _index: u32,
+        fault: Option<&ArmedFault>,
+        sup: &SupervisorSettings,
+    ) -> Result<RegionOutput, ExecError> {
+        let fs = self.fs.clone();
         run_region_attempt(
             r,
-            registry,
-            fs.clone(),
-            feed.clone(),
-            cfg,
-            armed.as_ref(),
+            self.registry,
+            fs,
+            feed.to_vec(),
+            self.cfg,
+            fault,
             Some(sup),
         )
-    };
-    let out = match fallback {
-        Some(fb) => supervise_region(
-            r,
-            sup,
-            &mut attempt,
-            Some(|| {
-                // The fallback attempt runs the sequential region with no
-                // injection and no deadline: it is the reference run.
-                run_region_attempt(fb, registry, fs.clone(), feed.clone(), cfg, None, None)
-            }),
-        ),
-        None => supervise_region(
-            r,
-            sup,
-            &mut attempt,
-            None::<fn() -> Result<RegionOutput, ExecError>>,
-        ),
-    };
-    out.map_err(io::Error::from)
-}
-
-/// Mutable interpreter state threaded through steps.
-struct StepState {
-    stdout: Vec<u8>,
-    status: i32,
-    stdin: Option<Vec<u8>>,
-    skip_next: bool,
-}
-
-/// Executes one plan step sequentially.
-fn run_step(
-    step: &PlanStep,
-    fallback: Option<&RegionPlan>,
-    registry: &Registry,
-    fs: &Arc<dyn Fs>,
-    cfg: &ExecConfig,
-    st: &mut StepState,
-) -> io::Result<()> {
-    match step {
-        PlanStep::Guard(cond) => {
-            st.skip_next = !cond.admits(st.status);
-        }
-        PlanStep::Region(r) => {
-            if std::mem::take(&mut st.skip_next) {
-                return Ok(());
-            }
-            // Only a region that consumes stdin takes the bytes; the
-            // emitted script keeps real stdin on a saved fd, so a
-            // later reader still sees it.
-            let feed = if r.reads_stdin() {
-                st.stdin.take().unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            let out = run_supervised(r, fallback, registry, fs, feed, cfg)?;
-            st.status = out.status();
-            st.stdout.extend_from_slice(&out.stdout);
-        }
-        PlanStep::Shell { text, data_noop } => {
-            if std::mem::take(&mut st.skip_next) {
-                return Ok(());
-            }
-            if !data_noop {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    format!("cannot execute shell step in-process: `{text}`"),
-                ));
-            }
-            st.status = 0;
-        }
     }
-    Ok(())
-}
 
-/// Runs a wave of mutually independent regions concurrently, at most
-/// `max_inflight` at a time. Outputs and the final status are applied
-/// in step order, so the result is indistinguishable from sequential
-/// execution (the wave builder guarantees members share no files, no
-/// stdin, and no stdout).
-fn run_wave(
-    plan: &ExecutionPlan,
-    fallback: Option<&ExecutionPlan>,
-    wave: &[usize],
-    registry: &Registry,
-    fs: &Arc<dyn Fs>,
-    cfg: &ExecConfig,
-    st: &mut StepState,
-) -> io::Result<()> {
-    for chunk in wave.chunks(cfg.max_inflight.max(1)) {
-        let mut jobs: Vec<(usize, &RegionPlan, Option<&RegionPlan>, Vec<u8>)> =
-            Vec::with_capacity(chunk.len());
-        for &i in chunk {
-            let PlanStep::Region(r) = &plan.steps[i] else {
-                // The wave builder only groups regions; anything else
-                // is a bug there, not here.
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "non-region step in a parallel wave",
-                ));
-            };
-            let fb = match fallback.map(|f| &f.steps[i]) {
-                Some(PlanStep::Region(fr)) => Some(fr),
-                _ => None,
-            };
-            let feed = if r.reads_stdin() {
-                st.stdin.take().unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            jobs.push((i, r, fb, feed));
-        }
-        let mut results: Vec<(usize, io::Result<RegionOutput>)> = Vec::with_capacity(jobs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|(i, r, fb, feed)| {
-                    let registry = registry.clone();
-                    let fs = fs.clone();
-                    let cfg = cfg.clone();
-                    scope.spawn(move || (i, run_supervised(r, fb, &registry, &fs, feed, &cfg)))
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("region thread"));
-            }
-        });
-        results.sort_by_key(|(i, _)| *i);
-        for (_, res) in results {
-            let out = res?;
-            st.status = out.status();
-            st.stdout.extend_from_slice(&out.stdout);
-        }
+    fn reference(&self, r: &RegionPlan, feed: &[u8]) -> Result<RegionOutput, ExecError> {
+        let fs = self.fs.clone();
+        run_region_attempt(r, self.registry, fs, feed.to_vec(), self.cfg, None, None)
     }
-    Ok(())
 }
 
 /// The in-process threaded execution backend.
@@ -799,14 +617,7 @@ pub fn run_script(
     // compiled when the supervisor could use it; compile_cached makes
     // repeat runs free.
     let fallback = if exec_cfg.supervisor.fallback && pash_cfg.width != 1 {
-        pash_core::compile::compile_cached(
-            src,
-            &PashConfig {
-                width: 1,
-                ..pash_cfg.clone()
-            },
-        )
-        .ok()
+        pash_core::compile::compile_cached(src, &pash_cfg.sequential()).ok()
     } else {
         None
     };

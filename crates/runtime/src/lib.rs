@@ -8,7 +8,9 @@
 //!   `wc`, `tac`, counts, and the custom bigram aggregator), fed by
 //!   the batched [`scan::LineScanner`];
 //! * [`exec`] — thread-per-node execution of compiled
-//!   [`pash_core::plan::ExecutionPlan`]s (the `threads` backend).
+//!   [`pash_core::plan::ExecutionPlan`]s (the `threads` backend);
+//! * `drive` — the one program driver behind the `threads`,
+//!   `processes` and `remote` backends.
 //!
 //! The same primitives are exposed as a standalone multi-call binary
 //! (`pash-rt`) so that scripts emitted by the back-end run under a
@@ -38,6 +40,7 @@
 
 pub mod agg;
 pub mod cli;
+pub(crate) mod drive;
 pub mod edge;
 pub mod exec;
 pub mod fault;
@@ -68,4 +71,4 @@ pub use service::{
     CacheTier, Client, DiskPlanCache, Request, Response, RunRequest, RunResponse, Semaphore,
     ServiceMetrics, ServiceSettings,
 };
-pub use supervise::{supervise_region, SupervisorCounters, SupervisorSettings};
+pub use supervise::{supervise_ladder, SupervisorCounters, SupervisorSettings};

@@ -32,15 +32,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pash_core::plan::{
-    fold_statuses, Backend, EndpointKind, ExecutionPlan, PlanEdgeId, PlanNodeId, PlanStep,
-    RegionPlan, SpawnBin, SpawnWord,
+    fold_statuses, Backend, EndpointKind, ExecutionPlan, PlanEdgeId, PlanNodeId, RegionPlan,
+    SpawnBin, SpawnWord,
 };
 
+use crate::drive::{drive, RegionRunner};
 use crate::edge::FifoDir;
 use crate::exec::{ProgramOutput, RegionOutput};
 use crate::fault::{ArmedFault, ExecError, FaultKind, INFRA_STATUS};
 use crate::profile::{ProfileStore, RegionProfile};
-use crate::supervise::{supervise_region, SupervisorSettings};
+use crate::supervise::SupervisorSettings;
 
 /// Exit status of a child killed by `SIGABRT` (128 + 6): how an
 /// injected in-child worker death ([`crate::fault::FaultMode::Die`])
@@ -173,8 +174,8 @@ fn kill_pipe(pid: u32) {
 #[cfg(not(unix))]
 fn kill_pipe(_pid: u32) {}
 
-/// Executes a whole plan, step by step (mirrors
-/// [`crate::exec::run_program`]'s guard and stdin threading).
+/// Executes a whole plan, step by step, through the program driver
+/// (`drive.rs`).
 ///
 /// Unlike the hermetic threaded executor, non-no-op `Shell` steps run
 /// for real under `/bin/sh -c` in the backend's root — the same text
@@ -188,21 +189,9 @@ pub fn run_plan(
     run_plan_with_fallback(plan, None, cfg, root, stdin)
 }
 
-/// Two plans compiled from the same source at different widths have
-/// the same step skeleton; anything else disqualifies the fallback.
-fn plans_align(a: &ExecutionPlan, b: &ExecutionPlan) -> bool {
-    a.steps.len() == b.steps.len()
-        && a.steps.iter().zip(&b.steps).all(|(x, y)| match (x, y) {
-            (PlanStep::Region(_), PlanStep::Region(_)) => true,
-            (PlanStep::Guard(g), PlanStep::Guard(h)) => g == h,
-            (PlanStep::Shell { text: t, .. }, PlanStep::Shell { text: u, .. }) => t == u,
-            _ => false,
-        })
-}
-
 /// [`run_plan`] with an optional width-1 fallback plan for the
-/// supervisor's graceful-degradation path (see
-/// [`crate::exec::run_program_with_fallback`] for the contract).
+/// supervisor's graceful-degradation path (see the program driver,
+/// `drive.rs`, for the contract).
 pub fn run_plan_with_fallback(
     plan: &ExecutionPlan,
     fallback: Option<&ExecutionPlan>,
@@ -210,193 +199,53 @@ pub fn run_plan_with_fallback(
     root: &Path,
     stdin: Vec<u8>,
 ) -> io::Result<ProgramOutput> {
-    // Fresh total-retry budget per program run (see
-    // `SupervisorSettings::fresh_run`).
-    let cfg = &ProcConfig {
-        supervisor: cfg.supervisor.fresh_run(),
-        ..cfg.clone()
-    };
-    let fallback = fallback.filter(|f| plans_align(plan, f));
-    let fb_step = |i: usize| -> Option<&RegionPlan> {
-        match fallback.map(|f| &f.steps[i]) {
-            Some(PlanStep::Region(r)) => Some(r),
-            _ => None,
-        }
-    };
-    let mut st = PlanState {
-        stdout: Vec::new(),
-        status: 0,
-        stdin: Some(stdin),
-        skip_next: false,
-    };
-    if cfg.max_inflight > 1 {
-        for wave in plan.parallel_waves() {
-            if wave.len() > 1 && !st.skip_next {
-                run_plan_wave(plan, fallback, &wave, cfg, root, &mut st)?;
-            } else {
-                for &i in &wave {
-                    run_plan_step(&plan.steps[i], fb_step(i), cfg, root, &mut st)?;
-                }
-            }
-        }
-    } else {
-        for (i, step) in plan.steps.iter().enumerate() {
-            run_plan_step(step, fb_step(i), cfg, root, &mut st)?;
-        }
+    let runner = ProcRunner { cfg, root };
+    drive(
+        plan,
+        fallback,
+        stdin,
+        cfg.max_inflight,
+        &cfg.supervisor,
+        &runner,
+    )
+}
+
+/// The `processes` backend's [`RegionRunner`]: each attempt is one
+/// process tree rooted at `root`.
+struct ProcRunner<'a> {
+    cfg: &'a ProcConfig,
+    root: &'a Path,
+}
+
+impl RegionRunner for ProcRunner<'_> {
+    fn attempt(
+        &self,
+        r: &RegionPlan,
+        feed: &[u8],
+        _index: u32,
+        fault: Option<&ArmedFault>,
+        sup: &SupervisorSettings,
+    ) -> Result<RegionOutput, ExecError> {
+        run_region_attempt(r, self.cfg, self.root, feed.to_vec(), fault, Some(sup))
     }
-    Ok(ProgramOutput {
-        stdout: st.stdout,
-        status: st.status,
-    })
-}
 
-/// Runs one region under the supervisor (retries with backoff,
-/// per-attempt fault arm, sequential fallback) — the process-tree
-/// sibling of the threaded executor's `run_supervised`.
-fn run_supervised(
-    r: &RegionPlan,
-    fallback: Option<&RegionPlan>,
-    cfg: &ProcConfig,
-    root: &Path,
-    feed: Vec<u8>,
-) -> io::Result<RegionOutput> {
-    let sup = &cfg.supervisor;
-    let mut attempt = |armed: Option<ArmedFault>| {
-        run_region_attempt(r, cfg, root, feed.clone(), armed.as_ref(), Some(sup))
-    };
-    let out = match fallback {
-        Some(fb) => supervise_region(
-            r,
-            sup,
-            &mut attempt,
-            Some(|| {
-                // The sequential reference run: no injection, no deadline.
-                run_region_attempt(fb, cfg, root, feed.clone(), None, None)
-            }),
-        ),
-        None => supervise_region(
-            r,
-            sup,
-            &mut attempt,
-            None::<fn() -> Result<RegionOutput, ExecError>>,
-        ),
-    };
-    out.map_err(io::Error::from)
-}
-
-/// Mutable interpreter state threaded through steps.
-struct PlanState {
-    stdout: Vec<u8>,
-    status: i32,
-    stdin: Option<Vec<u8>>,
-    skip_next: bool,
-}
-
-/// Executes one plan step sequentially.
-fn run_plan_step(
-    step: &PlanStep,
-    fallback: Option<&RegionPlan>,
-    cfg: &ProcConfig,
-    root: &Path,
-    st: &mut PlanState,
-) -> io::Result<()> {
-    match step {
-        PlanStep::Guard(cond) => {
-            st.skip_next = !cond.admits(st.status);
-        }
-        PlanStep::Region(r) => {
-            if std::mem::take(&mut st.skip_next) {
-                return Ok(());
-            }
-            // Only a stdin-consuming region takes the bytes; the
-            // emitted script keeps real stdin on a saved fd, so a
-            // later reader still sees it.
-            let feed = if r.reads_stdin() {
-                st.stdin.take().unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            let out = run_supervised(r, fallback, cfg, root, feed)?;
-            st.status = out.status();
-            st.stdout.extend_from_slice(&out.stdout);
-        }
-        PlanStep::Shell { text, data_noop } => {
-            if std::mem::take(&mut st.skip_next) {
-                return Ok(());
-            }
-            if *data_noop {
-                // Folded into the compile-time environment already.
-                st.status = 0;
-                return Ok(());
-            }
-            let out = Command::new("/bin/sh")
-                .arg("-c")
-                .arg(text)
-                .current_dir(root)
-                .stdin(Stdio::null())
-                .output()?;
-            st.stdout.extend_from_slice(&out.stdout);
-            io::stderr().write_all(&out.stderr)?;
-            st.status = exit_code(out.status);
-        }
+    fn reference(&self, r: &RegionPlan, feed: &[u8]) -> Result<RegionOutput, ExecError> {
+        run_region_attempt(r, self.cfg, self.root, feed.to_vec(), None, None)
     }
-    Ok(())
-}
 
-/// Runs a wave of mutually independent regions as concurrent process
-/// trees, at most `max_inflight` at a time, applying outputs and the
-/// final status in step order (see
-/// [`crate::exec`]'s threaded equivalent for the ordering argument).
-fn run_plan_wave(
-    plan: &ExecutionPlan,
-    fallback: Option<&ExecutionPlan>,
-    wave: &[usize],
-    cfg: &ProcConfig,
-    root: &Path,
-    st: &mut PlanState,
-) -> io::Result<()> {
-    for chunk in wave.chunks(cfg.max_inflight.max(1)) {
-        let mut jobs: Vec<(usize, &RegionPlan, Option<&RegionPlan>, Vec<u8>)> =
-            Vec::with_capacity(chunk.len());
-        for &i in chunk {
-            let PlanStep::Region(r) = &plan.steps[i] else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "non-region step in a parallel wave",
-                ));
-            };
-            let fb = match fallback.map(|f| &f.steps[i]) {
-                Some(PlanStep::Region(fr)) => Some(fr),
-                _ => None,
-            };
-            let feed = if r.reads_stdin() {
-                st.stdin.take().unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            jobs.push((i, r, fb, feed));
-        }
-        let mut results: Vec<(usize, io::Result<RegionOutput>)> = Vec::with_capacity(jobs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|(i, r, fb, feed)| {
-                    let cfg = cfg.clone();
-                    scope.spawn(move || (i, run_supervised(r, fb, &cfg, root, feed)))
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("region thread"));
-            }
-        });
-        results.sort_by_key(|(i, _)| *i);
-        for (_, res) in results {
-            let out = res?;
-            st.status = out.status();
-            st.stdout.extend_from_slice(&out.stdout);
-        }
+    /// Runs the step for real under `/bin/sh -c` in the backend's
+    /// root — the same text the shell backend would inline into its
+    /// script.
+    fn shell(&self, text: &str) -> io::Result<(Vec<u8>, i32)> {
+        let out = Command::new("/bin/sh")
+            .arg("-c")
+            .arg(text)
+            .current_dir(self.root)
+            .stdin(Stdio::null())
+            .output()?;
+        io::stderr().write_all(&out.stderr)?;
+        Ok((out.stdout, exit_code(out.status)))
     }
-    Ok(())
 }
 
 /// The name a plan edge gets when it appears in a child's argv.
@@ -414,18 +263,6 @@ fn edge_name(r: &RegionPlan, fifos: &FifoDir, e: PlanEdgeId) -> io::Result<std::
             format!("edge kind {other:?} cannot appear in argument position"),
         )),
     }
-}
-
-/// Executes one region as a process tree; `stdin` feeds the primary
-/// boundary input. A single unsupervised attempt; retries, deadlines,
-/// and fallback live in [`run_plan`]'s per-step supervision.
-pub fn run_region(
-    r: &RegionPlan,
-    cfg: &ProcConfig,
-    root: &Path,
-    stdin: Vec<u8>,
-) -> io::Result<RegionOutput> {
-    run_region_attempt(r, cfg, root, stdin, None, None).map_err(io::Error::from)
 }
 
 /// One attempt at a region, with optional fault injection and an
@@ -516,7 +353,7 @@ fn wait_deadline(
     }
 }
 
-/// The fallible body of [`run_region`]: spawns every node, waits on
+/// The fallible body of [`run_region_attempt`]: spawns every node, waits on
 /// the output producers, and tears the region down. Children are
 /// pushed into the caller's vectors as they spawn, so an early `?`
 /// return leaves the caller holding everything that needs killing.

@@ -449,9 +449,7 @@ impl ProfileStore {
         };
         if let Some(dir) = &self.dir {
             let path = dir.join(format!("{:016x}.prof", merged.fingerprint));
-            let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-            let _ =
-                std::fs::write(&tmp, merged.render()).and_then(|()| std::fs::rename(&tmp, &path));
+            let _ = write_atomic(&path, merged.render().as_bytes());
             if self.max_disk_bytes > 0 {
                 let _ = evict_lru_by_mtime(dir, self.max_disk_bytes);
             }
@@ -520,6 +518,23 @@ impl ProfileStore {
     }
 }
 
+/// Replaces `path` with `bytes` atomically: the bytes go to a sibling
+/// temp file that `rename(2)` then moves into place, so a reader sees
+/// the old entry or the new one, never a torn one. The temp name is
+/// unique per process and per call, so concurrent writers of the same
+/// path (two threads of one daemon) never share a temp file. Both
+/// persistent stores write through here.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
+    let res = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if res.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    res
+}
+
 /// Shrinks a cache directory to `max_bytes` by deleting
 /// oldest-mtime files first (recursing into subdirectories). Returns
 /// how many files were removed. Dangling references are fine by
@@ -584,6 +599,30 @@ mod tests {
             p.add_out(i, 500 * scale);
             p.add_busy(i, Duration::from_micros(10 * scale));
         }
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_to_one_path_all_land() {
+        let dir = std::env::temp_dir().join(format!("pash-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("entry.prof");
+        let contents: Vec<Vec<u8>> = (0..8u8).map(|t| vec![b'a' + t; 64 * 1024]).collect();
+        std::thread::scope(|scope| {
+            for bytes in &contents {
+                let path = &path;
+                scope.spawn(move || {
+                    for _ in 0..20 {
+                        write_atomic(path, bytes).expect("atomic write");
+                    }
+                });
+            }
+        });
+        let got = std::fs::read(&path).expect("read back");
+        assert!(contents.contains(&got), "torn entry");
+        let names: Vec<_> = std::fs::read_dir(&dir).expect("ls").collect();
+        assert_eq!(names.len(), 1, "temp files left behind");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! bytes.
 //!
 //! The worker itself is deliberately dumb: one unsupervised region
-//! attempt per connection ([`crate::exec::run_region_faulted`]),
+//! attempt per connection (`exec::run_region_attempt`),
 //! against an in-memory filesystem populated from the shipped files.
 //! All retry policy lives coordinator-side, so there is exactly one
 //! recovery ladder to reason about.
@@ -36,15 +36,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pash_core::plan::{ExecutionPlan, PlanOp, PlanStep, RegionPlan};
+use pash_core::plan::{ExecutionPlan, PlanOp, RegionPlan};
 use pash_coreutils::fs::{Fs, MemFs};
 use pash_coreutils::Registry;
 
+use crate::drive::{drive, RegionRunner};
 use crate::edge::{SockEdgeReader, SockEdgeWriter, SockMsg};
-use crate::exec::{run_region_faulted, ExecConfig, ProgramOutput, RegionOutput};
+use crate::exec::{run_region_attempt, ExecConfig, ProgramOutput, RegionOutput, ThreadRunner};
 use crate::fault::{ArmedFault, CancelToken, ExecError, FaultKind};
 use crate::service::{bad_data, put_bytes, put_str, put_u32, put_u64, read_frame, Cursor};
-use crate::supervise::supervise_region_remote;
+use crate::supervise::SupervisorSettings;
 
 /// Request op: execute one region attempt.
 pub const OP_EXECUTE: u8 = 1;
@@ -308,13 +309,14 @@ fn run_execute(req: ExecuteRequest, registry: &Registry, w: &mut SockEdgeWriter<
         fs.add(path, bytes);
     }
     let cfg = ExecConfig::default();
-    match run_region_faulted(
+    match run_region_attempt(
         &region,
         registry,
         fs.clone(),
         req.stdin,
         &cfg,
         armed.as_ref(),
+        None,
     ) {
         Ok(out) => {
             let _ = stream_region_output(&region, &out, &fs, w);
@@ -592,70 +594,13 @@ fn execute_remote(
     }
 }
 
-/// Runs one region under the full remote recovery ladder:
-/// remote attempts with per-attempt placement → clean local attempt →
-/// width-1 sequential fallback.
-fn run_region_remote(
-    r: &RegionPlan,
-    fallback: Option<&RegionPlan>,
-    registry: &Registry,
-    fs: &Arc<dyn Fs>,
-    feed: Vec<u8>,
-    cfg: &ExecConfig,
-    pool: &WorkerPool,
-) -> io::Result<RegionOutput> {
-    let sup = &cfg.supervisor;
-    let deadline = sup.region_deadline;
-    let fp = r.fingerprint();
-    let mut last_pick: Option<usize> = None;
-    let attempt = |i: u32, armed: Option<ArmedFault>| -> Result<RegionOutput, ExecError> {
-        let Some((idx, socket)) = pool.pick(fp, i) else {
-            return Err(ExecError::fatal(
-                "remote placement",
-                io::Error::new(io::ErrorKind::NotConnected, "no healthy workers"),
-            ));
-        };
-        if i > 0 && last_pick.is_some_and(|p| p != idx) {
-            sup.note_reroute();
-        }
-        last_pick = Some(idx);
-        let res = execute_remote(socket, r, armed.as_ref(), &feed, fs, deadline);
-        if let Err(e) = &res {
-            if e.is_deadline() {
-                sup.note_deadline_kill();
-            }
-        }
-        res
-    };
-    let local = Some(|| {
-        // The local rung: the same region, clean, on the coordinator.
-        run_region_faulted(r, registry, fs.clone(), feed.clone(), cfg, None)
-    });
-    let out = match fallback {
-        Some(fb) => supervise_region_remote(
-            r,
-            sup,
-            attempt,
-            local,
-            Some(|| run_region_faulted(fb, registry, fs.clone(), feed.clone(), cfg, None)),
-        ),
-        None => supervise_region_remote(
-            r,
-            sup,
-            attempt,
-            local,
-            None::<fn() -> Result<RegionOutput, ExecError>>,
-        ),
-    };
-    out.map_err(io::Error::from)
-}
-
 /// Runs a whole program through the remote backend: region steps ship
-/// to workers under the recovery ladder; guard and data-noop shell
-/// steps interpret locally, exactly as the threaded walker does.
-///
-/// `fallback` is the same program compiled at width 1 (the sequential
-/// reference); it must align step-for-step to be used.
+/// to workers under the recovery ladder — remote attempts with
+/// per-attempt placement, then a clean local attempt, then the width-1
+/// sequential fallback — while the program driver (`drive.rs`)
+/// walks guards and data-noop shell steps locally, as for `threads`.
+/// Remote attempts record no profiles; the local rungs do when
+/// `cfg.profile` is set.
 pub fn run_program_remote(
     plan: &ExecutionPlan,
     fallback: Option<&ExecutionPlan>,
@@ -665,67 +610,75 @@ pub fn run_program_remote(
     cfg: &ExecConfig,
     pool: &WorkerPool,
 ) -> io::Result<ProgramOutput> {
-    let cfg = ExecConfig {
-        supervisor: cfg.supervisor.fresh_run(),
-        ..cfg.clone()
+    let runner = RemoteRunner {
+        local: ThreadRunner { registry, fs, cfg },
+        pool,
     };
-    let aligned = fallback.filter(|f| {
-        f.steps.len() == plan.steps.len()
-            && f.steps.iter().zip(&plan.steps).all(|(a, b)| {
-                matches!(
-                    (a, b),
-                    (PlanStep::Region(_), PlanStep::Region(_))
-                        | (PlanStep::Guard(_), PlanStep::Guard(_))
-                        | (PlanStep::Shell { .. }, PlanStep::Shell { .. })
-                )
-            })
-    });
-    let mut stdout = Vec::new();
-    let mut status = 0;
-    let mut stdin = Some(stdin);
-    let mut skip_next = false;
-    for (i, step) in plan.steps.iter().enumerate() {
-        match step {
-            PlanStep::Guard(cond) => skip_next = !cond.admits(status),
-            PlanStep::Shell { text, data_noop } => {
-                if std::mem::take(&mut skip_next) {
-                    continue;
-                }
-                if !data_noop {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        format!("cannot execute shell step remotely: `{text}`"),
-                    ));
-                }
-                status = 0;
-            }
-            PlanStep::Region(r) => {
-                if std::mem::take(&mut skip_next) {
-                    continue;
-                }
-                let feed = if r.reads_stdin() {
-                    stdin.take().unwrap_or_default()
-                } else {
-                    Vec::new()
-                };
-                let fb = match aligned.map(|f| &f.steps[i]) {
-                    Some(PlanStep::Region(fr)) => Some(fr),
-                    _ => None,
-                };
-                let out = run_region_remote(r, fb, registry, &fs, feed, &cfg, pool)?;
-                status = out.status();
-                stdout.extend_from_slice(&out.stdout);
-            }
+    drive(
+        plan,
+        fallback,
+        stdin,
+        cfg.max_inflight,
+        &cfg.supervisor,
+        &runner,
+    )
+}
+
+/// The `remote` backend's [`RegionRunner`]: attempts ship to the pool,
+/// clean runs stay on the coordinator's threads.
+struct RemoteRunner<'a> {
+    local: ThreadRunner<'a>,
+    pool: &'a WorkerPool,
+}
+
+impl RegionRunner for RemoteRunner<'_> {
+    fn attempt(
+        &self,
+        r: &RegionPlan,
+        feed: &[u8],
+        index: u32,
+        fault: Option<&ArmedFault>,
+        sup: &SupervisorSettings,
+    ) -> Result<RegionOutput, ExecError> {
+        let fp = r.fingerprint();
+        let Some((idx, socket)) = self.pool.pick(fp, index) else {
+            return Err(ExecError::fatal(
+                "remote placement",
+                io::Error::new(io::ErrorKind::NotConnected, "no healthy workers"),
+            ));
+        };
+        // Placement is a function of (fingerprint, attempt) over a pool
+        // that does not change during a run, so the previous attempt's
+        // worker is the previous index's pick.
+        if index > 0
+            && self
+                .pool
+                .pick(fp, index - 1)
+                .is_some_and(|(prev, _)| prev != idx)
+        {
+            sup.note_reroute();
         }
+        let deadline = sup.region_deadline;
+        let res = execute_remote(socket, r, fault, feed, &self.local.fs, deadline);
+        if res.as_ref().is_err_and(ExecError::is_deadline) {
+            sup.note_deadline_kill();
+        }
+        res
     }
-    Ok(ProgramOutput { stdout, status })
+
+    fn reference(&self, r: &RegionPlan, feed: &[u8]) -> Result<RegionOutput, ExecError> {
+        self.local.reference(r, feed)
+    }
+
+    fn local(&self) -> Option<&dyn RegionRunner> {
+        Some(&self.local)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use crate::supervise::SupervisorSettings;
     use pash_core::compile::{compile, PashConfig};
 
     fn plan_pair(src: &str, width: usize) -> (ExecutionPlan, ExecutionPlan) {

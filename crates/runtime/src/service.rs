@@ -40,6 +40,8 @@ use std::time::Instant;
 use pash_core::dfg::transform::SplitPolicy;
 use pash_core::plan::ExecutionPlan;
 
+use crate::profile::{evict_lru_by_mtime, write_atomic};
+
 /// Largest frame either side accepts (64 MiB). Scripts, configs, and
 /// benchmark corpora are far smaller; a length beyond this is a
 /// protocol error or corruption, rejected before allocation.
@@ -586,7 +588,8 @@ pub struct ServiceMetrics {
     pub profile_misses: AtomicU64,
     /// Width the optimizer chose for the most recent adaptive run.
     pub last_chosen_width: AtomicU64,
-    /// Split policy of that run, encoded 0=off 1=sized 2=round-robin.
+    /// Split policy of that run, in the wire codec's encoding
+    /// (`split_to_u8`).
     pub last_chosen_split: AtomicU64,
     latency: LatencyHistogram,
 }
@@ -623,23 +626,18 @@ impl ServiceMetrics {
         self.adaptive_runs.fetch_add(1, Ordering::Relaxed);
         self.last_chosen_width
             .store(width as u64, Ordering::Relaxed);
-        let code = match split {
-            SplitPolicy::Off => 0,
-            SplitPolicy::Sized => 1,
-            SplitPolicy::RoundRobin => 2,
-            SplitPolicy::General => 3,
-        };
-        self.last_chosen_split.store(code, Ordering::Relaxed);
+        self.last_chosen_split
+            .store(split_to_u8(split) as u64, Ordering::Relaxed);
     }
 
     /// Renders the surface as a single-line JSON object.
     pub fn to_json(&self) -> String {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let split = match g(&self.last_chosen_split) {
-            1 => "sized",
-            2 => "round-robin",
-            3 => "general",
-            _ => "off",
+        let split = match split_from_u8(g(&self.last_chosen_split) as u8) {
+            Ok(SplitPolicy::General) => "general",
+            Ok(SplitPolicy::Sized) => "sized",
+            Ok(SplitPolicy::RoundRobin) => "round-robin",
+            Ok(SplitPolicy::Off) | Err(_) => "off",
         };
         format!(
             "{{\"requests_served\":{},\"run_requests\":{},\"tier1_hits\":{},\
@@ -695,8 +693,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///   fingerprint (or `-`), with the full key stored for collision
 ///   verification.
 ///
-/// Writes go to a `.tmp.<pid>` sibling and `rename(2)` into place, so
-/// readers never observe a half-written entry. Reads are
+/// Writes go to a unique temp sibling and `rename(2)` into place
+/// ([`crate::profile::write_atomic`]), so readers never observe a
+/// half-written entry. Reads are
 /// corruption-tolerant: any parse failure, fingerprint mismatch, or
 /// key collision is a silent miss — the caller recompiles and
 /// rewrites, never trusts damaged bytes. A small in-memory memo of
@@ -747,13 +746,6 @@ impl DiskPlanCache {
             .join(format!("{fingerprint:016x}.plan"))
     }
 
-    /// Atomically writes `bytes` at `path` via a temp-file rename.
-    fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, path)
-    }
-
     /// Stores a compilation under `key`. Plan files are
     /// content-addressed, so re-storing an existing plan is a no-op
     /// write of identical bytes.
@@ -764,24 +756,24 @@ impl DiskPlanCache {
         fallback: Option<&ExecutionPlan>,
     ) -> io::Result<()> {
         let fp = plan.fingerprint();
-        Self::write_atomic(&self.plan_path(fp), plan.dump().as_bytes())?;
+        write_atomic(&self.plan_path(fp), plan.dump().as_bytes())?;
         let fb = match fallback {
             Some(f) => {
                 let fbp = f.fingerprint();
-                Self::write_atomic(&self.plan_path(fbp), f.dump().as_bytes())?;
+                write_atomic(&self.plan_path(fbp), f.dump().as_bytes())?;
                 format!("{fbp:016x}")
             }
             None => "-".to_string(),
         };
         let entry = format!("pash-key v1\nplan {fp:016x}\nfallback {fb}\nkey {key:?}\n");
-        Self::write_atomic(&self.key_path(key), entry.as_bytes())?;
+        write_atomic(&self.key_path(key), entry.as_bytes())?;
         // Bound the on-disk footprint, sweeping only this cache's own
         // subtrees (the daemon nests its profile store under the same
         // root). Eviction may orphan a key file whose plan was removed
         // (or vice versa); `load` treats either as a plain miss, so a
         // failed or partial sweep is harmless.
         for sub in ["plans", "keys"] {
-            let _ = crate::profile::evict_lru_by_mtime(&self.root.join(sub), self.max_bytes / 2);
+            let _ = evict_lru_by_mtime(&self.root.join(sub), self.max_bytes / 2);
         }
         Ok(())
     }
@@ -1262,6 +1254,29 @@ mod tests {
         assert_eq!(h.max_us.load(Ordering::Relaxed), 10_000);
     }
 
+    #[test]
+    fn metrics_render_each_recorded_split_policy() {
+        let m = ServiceMetrics::default();
+        for (policy, name) in [
+            (SplitPolicy::Off, "off"),
+            (SplitPolicy::General, "general"),
+            (SplitPolicy::Sized, "sized"),
+            (SplitPolicy::RoundRobin, "round-robin"),
+        ] {
+            m.record_choice(4, policy);
+            // One encoding: the wire codec's.
+            assert_eq!(
+                m.last_chosen_split.load(Ordering::Relaxed),
+                split_to_u8(policy) as u64
+            );
+            let json = m.to_json();
+            assert!(
+                json.contains(&format!("\"last_chosen_split\":\"{name}\"")),
+                "{policy:?} rendered as {json}"
+            );
+        }
+    }
+
     fn tiny_plan(text: &str) -> ExecutionPlan {
         ExecutionPlan {
             steps: vec![pash_core::plan::PlanStep::Shell {
@@ -1304,6 +1319,35 @@ mod tests {
             cache3.load("k1", true).is_none(),
             "entry without fallback must miss when fallback is required"
         );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn disk_cache_same_key_stores_race_cleanly() {
+        // Threads of one daemon storing the same key at once: every
+        // store succeeds, and every load (from disk, via a fresh
+        // instance) either misses or returns a whole stored entry.
+        let root = std::env::temp_dir().join(format!("pash-dpc-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = DiskPlanCache::open(&root).expect("open");
+        let plan = tiny_plan(&"echo a long enough plan text ".repeat(64));
+        let fb = tiny_plan(&"echo the fallback ".repeat(64));
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        cache.store("k", &plan, Some(&fb)).expect("store");
+                        let reader = DiskPlanCache::open(&root).expect("open");
+                        if let Some((got, got_fb)) = reader.load("k", true) {
+                            assert_eq!(got.dump(), plan.dump());
+                            assert_eq!(got_fb.expect("fallback").dump(), fb.dump());
+                        }
+                    }
+                });
+            }
+        });
+        let reader = DiskPlanCache::open(&root).expect("open");
+        assert!(reader.load("k", true).is_some(), "final entry loads");
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -1,9 +1,10 @@
 //! The execution supervisor: retries, deadlines, and graceful
 //! fallback to the sequential baseline.
 //!
-//! Both backends execute a region as one *attempt* closure returning
-//! [`ExecError`] on failure. [`supervise_region`] wraps that closure
-//! in the recovery state machine:
+//! Every backend executes a region as one *attempt* closure returning
+//! [`ExecError`] on failure. [`supervise_ladder`] wraps that closure
+//! in the recovery state machine (the program driver,
+//! `drive.rs`, is its caller):
 //!
 //! ```text
 //!            ┌────────────┐ transient error,
@@ -206,58 +207,26 @@ pub fn jittered_backoff(base: Duration, attempt: u32, seed: u64) -> Duration {
     Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
 }
 
-/// Runs one region under supervision.
-///
-/// `attempt` executes the region once, with the given armed fault (if
-/// any) injected; it is invoked up to `1 + max_retries` times for
-/// replayable regions. `fallback` — when provided and enabled — runs
-/// the region's width-1 sequential form with injection disabled, the
-/// last resort that restores the `sh` baseline byte-for-byte.
-pub fn supervise_region<T>(
-    r: &RegionPlan,
-    settings: &SupervisorSettings,
-    mut attempt: impl FnMut(Option<ArmedFault>) -> Result<T, ExecError>,
-    fallback: Option<impl FnOnce() -> Result<T, ExecError>>,
-) -> Result<T, ExecError> {
-    supervise_ladder(
-        r,
-        settings,
-        false,
-        |_, armed| attempt(armed),
-        None::<fn() -> Result<T, ExecError>>,
-        fallback,
-    )
-}
-
-/// Runs one region under the full *remote* recovery ladder:
+/// Runs one region under the recovery ladder:
 ///
 /// ```text
-/// remote attempt (placed per attempt index, rerouted on retry)
+/// attempt (placed per attempt index, rerouted on retry when remote)
 ///   → retries with jittered backoff, bounded by the run budget
-///     → local re-execution (clean, no injection)
+///     → local re-execution (remote only; clean, no injection)
 ///       → width-1 sequential fallback
 /// ```
 ///
-/// `attempt` receives the attempt index (the remote driver uses it
-/// for per-attempt worker placement) and the armed fault, if any —
-/// remote-only kinds arm here via [`FaultPlan::arm_remote`]. `local`
-/// re-runs the same region on the local backend; `fallback` is the
-/// width-1 sequential last resort. Fatal errors abort the ladder at
-/// any rung.
-pub fn supervise_region_remote<T>(
-    r: &RegionPlan,
-    settings: &SupervisorSettings,
-    attempt: impl FnMut(u32, Option<ArmedFault>) -> Result<T, ExecError>,
-    local: Option<impl FnOnce() -> Result<T, ExecError>>,
-    fallback: Option<impl FnOnce() -> Result<T, ExecError>>,
-) -> Result<T, ExecError> {
-    supervise_ladder(r, settings, true, attempt, local, fallback)
-}
-
-/// The shared recovery state machine behind [`supervise_region`]
-/// (no local rung, local arming) and [`supervise_region_remote`]
-/// (full ladder, remote arming).
-fn supervise_ladder<T>(
+/// `attempt` executes the region once; it receives the attempt index
+/// (the remote runner uses it for per-attempt worker placement) and
+/// the armed fault, if any — `remote` arms the remote-only kinds via
+/// [`FaultPlan::arm_remote`], otherwise [`FaultPlan::arm`] picks a
+/// local one. It is invoked up to `1 + max_retries` times for
+/// replayable regions. `local` re-runs the region on the local
+/// backend; `fallback` — when provided and enabled — runs the region's
+/// width-1 sequential form with injection disabled, the last resort
+/// that restores the `sh` baseline byte-for-byte. Fatal errors abort
+/// the ladder at any rung.
+pub fn supervise_ladder<T>(
     r: &RegionPlan,
     settings: &SupervisorSettings,
     remote: bool,
@@ -336,6 +305,8 @@ mod tests {
         }
     }
 
+    const NONE: Option<fn() -> Result<i32, ExecError>> = None;
+
     fn transient() -> ExecError {
         ExecError::transient("node", io::Error::new(io::ErrorKind::Interrupted, "boom"))
     }
@@ -343,11 +314,13 @@ mod tests {
     #[test]
     fn first_success_needs_no_recovery() {
         let s = SupervisorSettings::default();
-        let out = supervise_region(
+        let out = supervise_ladder(
             &replayable_region(),
             &s,
-            |_| Ok::<_, ExecError>(7),
-            None::<fn() -> Result<i32, ExecError>>,
+            false,
+            |_, _| Ok::<_, ExecError>(7),
+            NONE,
+            NONE,
         )
         .expect("ok");
         assert_eq!(out, 7);
@@ -362,10 +335,11 @@ mod tests {
             ..Default::default()
         };
         let mut calls = 0;
-        let out = supervise_region(
+        let out = supervise_ladder(
             &replayable_region(),
             &s,
-            |_| {
+            false,
+            |_, _| {
                 calls += 1;
                 if calls < 3 {
                     Err(transient())
@@ -373,7 +347,8 @@ mod tests {
                     Ok(42)
                 }
             },
-            None::<fn() -> Result<i32, ExecError>>,
+            NONE,
+            NONE,
         )
         .expect("ok");
         assert_eq!(out, 42);
@@ -388,10 +363,12 @@ mod tests {
             backoff_base: Duration::from_millis(1),
             ..Default::default()
         };
-        let out = supervise_region(
+        let out = supervise_ladder(
             &replayable_region(),
             &s,
-            |_| Err::<i32, _>(transient()),
+            false,
+            |_, _| Err::<i32, _>(transient()),
+            NONE,
             Some(|| Ok(99)),
         )
         .expect("fallback");
@@ -407,16 +384,18 @@ mod tests {
             ..Default::default()
         };
         let mut calls = 0;
-        let err = supervise_region(
+        let err = supervise_ladder(
             &replayable_region(),
             &s,
-            |_| {
+            false,
+            |_, _| {
                 calls += 1;
                 Err::<i32, _>(ExecError::fatal(
                     "node",
                     io::Error::new(io::ErrorKind::NotFound, "no such file"),
                 ))
             },
+            NONE,
             Some(|| Ok(1)),
         )
         .expect_err("fatal");
@@ -458,10 +437,12 @@ mod tests {
         }
         .fresh_run();
         for _ in 0..2 {
-            let out = supervise_region(
+            let out = supervise_ladder(
                 &replayable_region(),
                 &s,
-                |_| Err::<i32, _>(transient()),
+                false,
+                |_, _| Err::<i32, _>(transient()),
+                NONE,
                 Some(|| Ok(5)),
             )
             .expect("fallback");
@@ -471,10 +452,12 @@ mod tests {
         assert_eq!(s.counters.fallbacks(), 2);
         // fresh_run reinstalls the budget for the next run.
         let s2 = s.fresh_run();
-        supervise_region(
+        supervise_ladder(
             &replayable_region(),
             &s2,
-            |_| Err::<i32, _>(transient()),
+            false,
+            |_, _| Err::<i32, _>(transient()),
+            NONE,
             Some(|| Ok(5)),
         )
         .expect("fallback");
@@ -489,9 +472,10 @@ mod tests {
             ..Default::default()
         };
         // Local rung succeeds: sequential fallback untouched.
-        let out = supervise_region_remote(
+        let out = supervise_ladder(
             &replayable_region(),
             &s,
+            true,
             |_, _| Err::<i32, _>(transient()),
             Some(|| Ok(11)),
             Some(|| Ok(99)),
@@ -501,9 +485,10 @@ mod tests {
         assert_eq!(s.counters.local_fallbacks(), 1);
         assert_eq!(s.counters.fallbacks(), 0);
         // Local rung also transient: the sequential rung finishes it.
-        let out = supervise_region_remote(
+        let out = supervise_ladder(
             &replayable_region(),
             &s,
+            true,
             |_, _| Err::<i32, _>(transient()),
             Some(|| Err::<i32, _>(transient())),
             Some(|| Ok(99)),
@@ -514,14 +499,15 @@ mod tests {
         assert_eq!(s.counters.fallbacks(), 1);
         // Attempt indices arrive in order (placement input).
         let mut seen = Vec::new();
-        let _ = supervise_region_remote(
+        let _ = supervise_ladder(
             &replayable_region(),
             &s,
+            true,
             |i, _| {
                 seen.push(i);
                 Err::<i32, _>(transient())
             },
-            None::<fn() -> Result<i32, ExecError>>,
+            NONE,
             Some(|| Ok(0)),
         );
         assert_eq!(seen, vec![0, 1]);
@@ -535,13 +521,15 @@ mod tests {
         };
         let r = RegionPlan::default(); // replayable: false
         let mut calls = 0;
-        supervise_region(
+        supervise_ladder(
             &r,
             &s,
-            |_| {
+            false,
+            |_, _| {
                 calls += 1;
                 Err::<i32, _>(transient())
             },
+            NONE,
             Some(|| Ok(1)),
         )
         .expect_err("no retry");

@@ -42,7 +42,7 @@ use crate::runtime::service::{
 };
 use crate::runtime::supervise::SupervisorSettings;
 use crate::sim::{CostModel, InputSizes, SimPricer};
-use crate::{BackendOutput, RunEnv, RunError, RunHandle};
+use crate::{wants_fallback, BackendOutput, RunEnv, RunError, RunHandle};
 
 /// Daemon construction parameters.
 pub struct DaemonConfig {
@@ -143,15 +143,7 @@ impl Daemon {
             // The width-1 fallback rides the same memo; after the cold
             // request compiled it, this is a second tier-1 hit.
             let fb = if want_fallback {
-                compile_cached(
-                    script,
-                    &PashConfig {
-                        width: 1,
-                        per_region: Vec::new(),
-                        ..cfg.clone()
-                    },
-                )
-                .ok()
+                compile_cached(script, &cfg.sequential()).ok()
             } else {
                 None
             };
@@ -222,27 +214,6 @@ impl Daemon {
         for (path, bytes) in snapshot.entries() {
             sizes.insert(path, bytes.len() as f64);
         }
-        let t0 = Instant::now();
-        let cfg = if req.width == 0 {
-            match self.adaptive_config(&req.script, &sizes) {
-                Ok(cfg) => cfg,
-                Err(e) => return Response::Error(e.to_string()),
-            }
-        } else {
-            PashConfig {
-                width: req.width as usize,
-                split: req.split,
-                ..Default::default()
-            }
-        };
-        let want_fallback = cfg.width != 1
-            && self.supervisor.fallback
-            && matches!(req.backend.as_str(), "threads" | "processes" | "remote");
-        let (handle, tier) = match self.lookup(&req.script, &cfg, want_fallback) {
-            Ok(x) => x,
-            Err(e) => return Response::Error(e.to_string()),
-        };
-        let compile_micros = t0.elapsed().as_micros() as u64;
         let env = RunEnv {
             registry: self.registry.clone(),
             fs: snapshot,
@@ -264,6 +235,25 @@ impl Daemon {
             sim: crate::sim::SimConfig::default(),
             emit: crate::core::backend::EmitConfig::default(),
         };
+        let t0 = Instant::now();
+        let cfg = if req.width == 0 {
+            match self.adaptive_config(&req.script, &env.sizes) {
+                Ok(cfg) => cfg,
+                Err(e) => return Response::Error(e.to_string()),
+            }
+        } else {
+            PashConfig {
+                width: req.width as usize,
+                split: req.split,
+                ..Default::default()
+            }
+        };
+        let want_fallback = cfg.width != 1 && wants_fallback(&req.backend, &env);
+        let (handle, tier) = match self.lookup(&req.script, &cfg, want_fallback) {
+            Ok(x) => x,
+            Err(e) => return Response::Error(e.to_string()),
+        };
+        let compile_micros = t0.elapsed().as_micros() as u64;
         let out = match handle.execute(&req.backend, &env) {
             Ok(o) => o,
             Err(e) => return Response::Error(e.to_string()),

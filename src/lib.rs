@@ -283,18 +283,9 @@ impl RunHandle {
     pub fn compile(src: &str, cfg: &PashConfig, fallback: bool) -> Result<RunHandle, RunError> {
         let compiled = compile_cached(src, cfg).map_err(RunError::Compile)?;
         let seq_fallback = if fallback && cfg.width != 1 {
-            // The fallback must be truly sequential: clear any
-            // per-region shapes along with the global width.
-            compile_cached(
-                src,
-                &PashConfig {
-                    width: 1,
-                    per_region: Vec::new(),
-                    ..cfg.clone()
-                },
-            )
-            .ok()
-            .map(PlanSource::Compiled)
+            compile_cached(src, &cfg.sequential())
+                .ok()
+                .map(PlanSource::Compiled)
         } else {
             None
         };
@@ -340,11 +331,13 @@ impl RunHandle {
     /// Runs the plan on the backend named `backend` — `"shell"`,
     /// `"threads"`, `"processes"`, `"remote"`, or `"sim"` — against
     /// `env`. The
-    /// fallback plan is handed to the executor only when the backend's
-    /// supervisor has fallback enabled, mirroring what [`run`] always
-    /// did.
+    /// fallback plan is handed to the executor only when the
+    /// backend's supervisor would use it (`wants_fallback`).
     pub fn execute(&self, backend: &str, env: &RunEnv) -> Result<BackendOutput, RunError> {
         let plan = self.plan.plan();
+        let fallback = self
+            .fallback_plan()
+            .filter(|_| wants_fallback(backend, env));
         match backend {
             "shell" => {
                 let mut be = ShellEmitter {
@@ -354,33 +347,19 @@ impl RunHandle {
                     .map(BackendOutput::Script)
                     .map_err(RunError::Io)
             }
-            "threads" => {
-                let fallback = if env.exec.supervisor.fallback {
-                    self.fallback_plan()
-                } else {
-                    None
-                };
-                run_program_with_fallback(
-                    plan,
-                    fallback,
-                    &env.registry,
-                    env.fs.clone() as Arc<dyn Fs>,
-                    env.stdin.clone(),
-                    &env.exec,
-                )
+            "threads" => run_program_with_fallback(
+                plan,
+                fallback,
+                &env.registry,
+                env.fs.clone() as Arc<dyn Fs>,
+                env.stdin.clone(),
+                &env.exec,
+            )
+            .map(BackendOutput::Execution)
+            .map_err(RunError::Io),
+            "processes" => run_processes(plan, fallback, env)
                 .map(BackendOutput::Execution)
-                .map_err(RunError::Io)
-            }
-            "processes" => {
-                let fallback = if env.proc.supervisor.fallback {
-                    self.fallback_plan()
-                } else {
-                    None
-                };
-                run_processes(plan, fallback, env)
-                    .map(BackendOutput::Execution)
-                    .map_err(RunError::Io)
-            }
+                .map_err(RunError::Io),
             "remote" => {
                 if env.workers.is_empty() {
                     return Err(RunError::Io(std::io::Error::new(
@@ -388,11 +367,6 @@ impl RunHandle {
                         "remote backend needs worker sockets (RunEnv::workers)",
                     )));
                 }
-                let fallback = if env.exec.supervisor.fallback {
-                    self.fallback_plan()
-                } else {
-                    None
-                };
                 // No up-front probe: a worker that fails to answer is
                 // discovered by the attempt itself, which the ladder
                 // treats as transient (reroute, then local fallback).
@@ -442,15 +416,19 @@ pub fn run(
     backend: &str,
     env: &RunEnv,
 ) -> Result<BackendOutput, RunError> {
-    // The width-1 fallback is only worth compiling when the selected
-    // backend's supervisor would use it (compile_cached makes repeats
-    // free either way).
-    let want_fallback = match backend {
+    RunHandle::compile(src, cfg, wants_fallback(backend, env))?.execute(backend, env)
+}
+
+/// Whether a run on `backend` under `env` uses the width-1 fallback
+/// plan: only the executing backends have a supervisor, and only when
+/// its sequential fallback is enabled. [`run`], [`RunHandle::execute`]
+/// and the `pashd` daemon all ask here.
+pub(crate) fn wants_fallback(backend: &str, env: &RunEnv) -> bool {
+    match backend {
         "threads" | "remote" => env.exec.supervisor.fallback,
         "processes" => env.proc.supervisor.fallback,
         _ => false,
-    };
-    RunHandle::compile(src, cfg, want_fallback)?.execute(backend, env)
+    }
 }
 
 /// Runs a lowered plan on the process backend, providing the
